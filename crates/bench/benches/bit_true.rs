@@ -11,11 +11,17 @@
 //! per-kernel rows (`packed_gemm_prepacked_scalar` vs `…_simd` vs the
 //! fused-tiled driver) isolate the kernel win from packing cost; the
 //! `kernel_tier` field records which dispatch tier `…_simd` actually ran.
+//! The packing rows time operand decomposition on its own, at the shapes
+//! whole-network inference packs on every call: an fc-shaped INT4 weight
+//! matrix through `pack_rows`, and the AlexNet conv1 im2col matrix through
+//! `pack_gemm_cols`, each checked plane for plane against the per-element
+//! `pack_from_fn` oracle first.
 
 use std::time::Instant;
 
 use bpvec_core::kernels::{detected_tier, KernelTier};
-use bpvec_core::{BitWidth, Signedness};
+use bpvec_core::{BitWidth, PackedSliceMatrix, Signedness};
+use bpvec_dnn::packing::{pack_gemm_cols, pack_gemm_rows};
 use bpvec_dnn::Tensor;
 use bpvec_sim::systolic::{ArrayConfig, SystolicArray};
 use criterion::{black_box, criterion_group, Criterion, Throughput};
@@ -25,6 +31,12 @@ use criterion::{black_box, criterion_group, Criterion, Throughput};
 const M: usize = 64;
 const K: usize = 363;
 const N: usize = 64;
+
+/// Packing rows: an fc-shaped weight matrix (AlexNet fc7's 4096 inputs,
+/// half its outputs: 8M elements) and the conv1 im2col matrix
+/// `[3·11·11, 55·55]`.
+const FC_SHAPE: [usize; 2] = [2048, 4096];
+const CONV1_COLS: [usize; 2] = [363, 3025];
 
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -132,6 +144,34 @@ fn main() {
     let simd_s = best_of(9, || block(tier));
     let fused_tiled_s = best_of(9, || arr.gemm_packed(&pa, &pb).expect("packed gemm").output);
 
+    // Packing rows, guarded against the per-element oracle.
+    let [fm, fk] = FC_SHAPE;
+    let w = matrix(fm, fk, BitWidth::INT4, 6);
+    let pack_w = || pack_gemm_rows(&w, BitWidth::INT4, sw, Signedness::Signed).unwrap();
+    let oracle_w =
+        PackedSliceMatrix::pack_from_fn(fm, fk, BitWidth::INT4, sw, Signedness::Signed, |r, e| {
+            w.as_slice()[r * fk + e]
+        });
+    assert_eq!(
+        Ok(pack_w()),
+        oracle_w,
+        "pack_rows diverged; bench is meaningless"
+    );
+    let pack_rows_s = best_of(5, pack_w);
+    let [ck, cn] = CONV1_COLS;
+    let cols = matrix(ck, cn, BitWidth::INT8, 7);
+    let pack_c = || pack_gemm_cols(&cols, BitWidth::INT8, sw, Signedness::Signed).unwrap();
+    let oracle_c =
+        PackedSliceMatrix::pack_from_fn(cn, ck, BitWidth::INT8, sw, Signedness::Signed, |c, e| {
+            cols.as_slice()[e * cn + c]
+        });
+    assert_eq!(
+        Ok(pack_c()),
+        oracle_c,
+        "pack_gemm_cols diverged; bench is meaningless"
+    );
+    let pack_cols_s = best_of(9, pack_c);
+
     let speedup = seed_s / packed_s;
     let simd_speedup = scalar_s / simd_s;
     let per_sec = |s: f64| macs as f64 / s;
@@ -142,6 +182,13 @@ fn main() {
             per_sec(s)
         )
     };
+    let pack_row = |name: &str, shape: [usize; 2], s: f64| {
+        format!(
+            "    {{\n      \"name\": \"{name}\",\n      \"seconds_per_run\": {s:.6},\n      \
+             \"elements_per_sec\": {:.1}\n    }}",
+            (shape[0] * shape[1]) as f64 / s
+        )
+    };
     let rows = [
         row("seed_per_element_8x8", seed_s),
         row("packed_planes_8x8", packed_s),
@@ -149,6 +196,12 @@ fn main() {
         row("packed_gemm_prepacked_scalar", scalar_s),
         row("packed_gemm_prepacked_simd", simd_s),
         row("fused_tiled_gemm_8x8", fused_tiled_s),
+        pack_row("pack_rows_fc_2048x4096_int4", FC_SHAPE, pack_rows_s),
+        pack_row(
+            "pack_gemm_cols_conv1_363x3025_int8",
+            CONV1_COLS,
+            pack_cols_s,
+        ),
     ]
     .join(",\n");
     let json = format!(

@@ -61,7 +61,10 @@ pub struct PackedSliceMatrix {
 }
 
 impl PackedSliceMatrix {
-    /// Packs `num_vecs` row-major vectors of `len` elements each.
+    /// Packs `num_vecs` row-major vectors of `len` elements each, a word of
+    /// every plane at a time (branchless range check, SWAR byte
+    /// compaction); equal plane for plane, and error for error, to the
+    /// per-element [`PackedSliceMatrix::pack_from_fn`].
     ///
     /// # Errors
     ///
@@ -86,8 +89,77 @@ impl PackedSliceMatrix {
             "packed data length {} does not match {num_vecs} vectors of {len}",
             data.len()
         );
-        Self::pack_from_fn(num_vecs, len, width, slice_width, signedness, |v, e| {
-            data[v * len + e]
+        // `SliceWidth` admits only 1, 2, 4 and 8 bits.
+        match slice_width.bits() {
+            1 => Self::pack_rows_words::<1>(data, num_vecs, len, width, slice_width, signedness),
+            2 => Self::pack_rows_words::<2>(data, num_vecs, len, width, slice_width, signedness),
+            4 => Self::pack_rows_words::<4>(data, num_vecs, len, width, slice_width, signedness),
+            _ => Self::pack_rows_words::<8>(data, num_vecs, len, width, slice_width, signedness),
+        }
+    }
+
+    /// The word-at-a-time packer behind [`PackedSliceMatrix::pack_rows`],
+    /// monomorphized on the slice width `S` so every shift and mask below
+    /// is a constant.
+    ///
+    /// Elements go in blocks of 64 contiguous ones, each filling `S` words
+    /// of every plane. A block is range-checked branchlessly
+    /// (`(x - lo) as u32 > span`, OR-reduced) while its low bytes are
+    /// gathered; only on a hit is it re-scanned with [`BitWidth::check`],
+    /// so the first offending element reports exactly the error the
+    /// per-element oracle ([`PackedSliceMatrix::pack_from_fn`]) reports.
+    /// The plane words are then formed by SWAR byte compaction
+    /// ([`pack_block`]).
+    fn pack_rows_words<const S: u32>(
+        data: &[i32],
+        num_vecs: usize,
+        len: usize,
+        width: BitWidth,
+        slice_width: SliceWidth,
+        signedness: Signedness,
+    ) -> Result<Self, CoreError> {
+        let fields_per_word = (64 / S) as usize;
+        let n_slices = slice_width.slices_for(width) as usize;
+        let words_per_vec = len.div_ceil(fields_per_word);
+        let mut planes = vec![vec![0u64; num_vecs * words_per_vec]; n_slices];
+        let (lo, hi) = width.range(signedness);
+        let span = hi.abs_diff(lo);
+        // One block of 64 elements fills `S` words of every plane. The low
+        // byte of each element is its whole padded two's-complement pattern
+        // (`n_slices · S ≤ 8` for every supported width); zero, the padding
+        // of a short tail block, packs to inert fields.
+        let mut bytes = [0u8; 64];
+        if words_per_vec > 0 {
+            for (v, row) in data.chunks_exact(len).enumerate() {
+                for (b, block) in row.chunks(64).enumerate() {
+                    let mut out_of_range = false;
+                    for (byte, &x) in bytes.iter_mut().zip(block) {
+                        *byte = x as u8;
+                        out_of_range |= x.wrapping_sub(lo) as u32 > span;
+                    }
+                    bytes[block.len()..].fill(0);
+                    if out_of_range {
+                        for &x in block {
+                            width.check(x, signedness)?;
+                        }
+                    }
+                    let first = v * words_per_vec + b * S as usize;
+                    let n_words = block.len().div_ceil(fields_per_word);
+                    for (j, plane) in planes.iter_mut().enumerate() {
+                        let words = &mut plane[first..first + n_words];
+                        pack_block::<S>(&bytes, j as u32, words);
+                    }
+                }
+            }
+        }
+        Ok(PackedSliceMatrix {
+            planes,
+            num_vecs,
+            len,
+            words_per_vec,
+            width,
+            slice_width,
+            signedness,
         })
     }
 
@@ -106,8 +178,14 @@ impl PackedSliceMatrix {
     }
 
     /// Packs `num_vecs` vectors of `len` elements, reading element `e` of
-    /// vector `v` from `f(v, e)` — the gather-free entry point for packing
-    /// matrix columns or im2col patches without materializing a transpose.
+    /// vector `v` from `f(v, e)`, one element at a time.
+    ///
+    /// This is the per-element reference oracle of the layout: each field
+    /// is validated and OR-ed into its word on its own, the plainest
+    /// statement of what a plane holds. Production code packs through the
+    /// word-at-a-time [`PackedSliceMatrix::pack_rows`] instead (an order of
+    /// magnitude faster); tests pin the two equal plane for plane, error
+    /// for error.
     ///
     /// # Errors
     ///
@@ -496,6 +574,51 @@ impl PackedSliceMatrix {
             value += field << (j as u32 * s);
         }
         value as i32
+    }
+}
+
+/// Writes words `0..words.len()` of slice plane `j` for one block of 64
+/// elements, given as their low bytes: element `e`'s field `j` lands at bit
+/// `(e mod 64/S)·S` of word `e / (64/S)`.
+///
+/// SWAR byte compaction: 8 bytes are read as one `u64`, shifted so field
+/// `j` sits in the low `S` bits of every byte, masked, and three folds
+/// gather the 8 fields into `8·S` contiguous bits.
+#[inline(always)]
+fn pack_block<const S: u32>(bytes: &[u8; 64], j: u32, words: &mut [u64]) {
+    // After fold `f` (0 to 3), each `2^f`-byte lane holds its `2^f` fields
+    // in its low `2^f · S` bits.
+    const fn lane_mask(s: u32, lane_bytes: u32) -> u64 {
+        let bits = lane_bytes * s;
+        let low = if bits >= 64 {
+            u64::MAX
+        } else {
+            (1 << bits) - 1
+        };
+        let lanes = if lane_bytes >= 8 {
+            1
+        } else {
+            u64::MAX / ((1 << (8 * lane_bytes)) - 1)
+        };
+        lanes * low
+    }
+    let compact = |y: u64| {
+        let y = (y >> (j * S)) & lane_mask(S, 1);
+        let y = (y | y >> (8 - S)) & lane_mask(S, 2);
+        let y = (y | y >> (16 - 2 * S)) & lane_mask(S, 4);
+        (y | y >> (32 - 4 * S)) & lane_mask(S, 8)
+    };
+    let octets_per_word = 8 / S as usize;
+    for (word, octets) in words
+        .iter_mut()
+        .zip(bytes.chunks_exact(8 * octets_per_word))
+    {
+        let mut acc = 0u64;
+        for (g, octet) in octets.chunks_exact(8).enumerate() {
+            let y = u64::from_le_bytes(octet.try_into().expect("8-byte octet"));
+            acc |= compact(y) << (g as u32 * 8 * S);
+        }
+        *word = acc;
     }
 }
 

@@ -4,9 +4,14 @@
 //! [`PackedSliceMatrix`] layout) equals [`dot_exact`] (Equation 1) and
 //! [`dot_slice_clustered`] (Equation 4) — exact equality, including the
 //! INT8 edge values (−128, −1, 127) that exercise the signed top plane.
+//! The word-at-a-time packers ([`PackedSliceMatrix::pack_rows`] and
+//! `bpvec_dnn`'s `pack_gemm_cols`) are pinned plane for plane, and error
+//! for error, to the per-element oracle [`PackedSliceMatrix::pack_from_fn`].
 
 use bpvec_core::dotprod::{dot_exact, dot_packed, dot_slice_clustered};
-use bpvec_core::{BitWidth, PackedSliceMatrix, Signedness, SliceWidth};
+use bpvec_core::{BitWidth, CoreError, PackedSliceMatrix, Signedness, SliceWidth};
+use bpvec_dnn::packing::{pack_gemm_cols, TRANSPOSE_BLOCK};
+use bpvec_dnn::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -173,5 +178,131 @@ proptest! {
                 prop_assert_eq!(px.slice_dot(0, j, &pw, 0, k), scalar, "plane ({}, {})", j, k);
             }
         }
+    }
+
+    /// The word-at-a-time row packer equals the per-element oracle plane
+    /// for plane (and in every other field) for every width × slicing ×
+    /// signedness, at the lengths where its chunking can go wrong: empty,
+    /// one element, one word's worth of fields (`64/s`) and its neighbours,
+    /// one 64-element block and its neighbours, and a random length — each
+    /// over several vectors, so a word-offset slip between vectors shows.
+    #[test]
+    fn pack_rows_equals_per_element_oracle(
+        vecs in 1usize..5,
+        seed in proptest::num::u64::ANY,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let random_len = rng.gen_range(0..300);
+        for bits in 1..=8u32 {
+            let bw = BitWidth::new(bits).unwrap();
+            for sw in SLICE_WIDTHS {
+                let f = (64 / sw.bits()) as usize;
+                for s in SIGNEDNESS {
+                    let (lo, hi) = bw.range(s);
+                    for len in [0, 1, f - 1, f, f + 1, 63, 64, 65, random_len] {
+                        let data: Vec<i32> =
+                            (0..vecs * len).map(|_| rng.gen_range(lo..=hi)).collect();
+                        let fast = PackedSliceMatrix::pack_rows(&data, vecs, len, bw, sw, s);
+                        let oracle = PackedSliceMatrix::pack_from_fn(vecs, len, bw, sw, s, |v, e| {
+                            data[v * len + e]
+                        });
+                        let (fast, oracle) = (fast.unwrap(), oracle.unwrap());
+                        for j in 0..oracle.n_slices() {
+                            for v in 0..vecs {
+                                prop_assert_eq!(
+                                    fast.plane(j, v),
+                                    oracle.plane(j, v),
+                                    "{} {} {} len {} plane {} vec {}", bw, sw, s, len, j, v
+                                );
+                            }
+                        }
+                        prop_assert_eq!(fast, oracle);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Out-of-range values yield the oracle's error, naming the *first*
+    /// offending element in row order, wherever it sits: inside a full
+    /// chunk, in a zero-padded tail chunk, or in a later vector — with a
+    /// second, different offender planted right after it (mostly in the
+    /// same chunk) so a scan that reports the wrong one fails.
+    #[test]
+    fn pack_rows_reports_the_oracles_first_out_of_range_value(
+        seed in proptest::num::u64::ANY,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for bits in 1..=8u32 {
+            let bw = BitWidth::new(bits).unwrap();
+            for sw in SLICE_WIDTHS {
+                let f = (64 / sw.bits()) as usize;
+                for s in SIGNEDNESS {
+                    let (lo, hi) = bw.range(s);
+                    let (vecs, len) = (3usize, 2 * f + f / 2);
+                    // Full chunk, tail chunk, second vector's first chunk.
+                    for first in [rng.gen_range(0..f), 2 * f + rng.gen_range(0..f / 2), len + 1] {
+                        let mut data: Vec<i32> =
+                            (0..vecs * len).map(|_| rng.gen_range(lo..=hi)).collect();
+                        data[first] = if rng.gen_range(0..2) == 0 { lo - 1 } else { hi + 1 };
+                        data[first + 1] = hi + 7;
+                        let fast = PackedSliceMatrix::pack_rows(&data, vecs, len, bw, sw, s);
+                        let oracle = PackedSliceMatrix::pack_from_fn(vecs, len, bw, sw, s, |v, e| {
+                            data[v * len + e]
+                        });
+                        let want = CoreError::ValueOutOfRange {
+                            value: data[first],
+                            bits,
+                            signed: s == Signedness::Signed,
+                        };
+                        prop_assert_eq!(&oracle, &Err(want), "{} {} {} at {}", bw, sw, s, first);
+                        prop_assert_eq!(&fast, &oracle, "{} {} {} at {}", bw, sw, s, first);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Column packing of non-square `[k, n]` matrices — shapes on both
+    /// sides of the transpose tile, so partial tiles in either dimension
+    /// are covered — equals the per-element stride-`n` gather, planes and
+    /// errors alike.
+    #[test]
+    fn pack_gemm_cols_equals_per_element_gather(
+        k in prop_oneof![
+            Just(1usize),
+            Just(TRANSPOSE_BLOCK - 1),
+            Just(TRANSPOSE_BLOCK + 1),
+            Just(2 * TRANSPOSE_BLOCK + 3)
+        ],
+        n in prop_oneof![
+            Just(3usize),
+            Just(TRANSPOSE_BLOCK),
+            Just(TRANSPOSE_BLOCK + 5),
+            Just(2 * TRANSPOSE_BLOCK - 1)
+        ],
+        bits in 1u32..=8,
+        sw_bits in prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+        signed in proptest::bool::ANY,
+        seed in proptest::num::u64::ANY,
+    ) {
+        let bw = BitWidth::new(bits).unwrap();
+        let sw = SliceWidth::new(sw_bits).unwrap();
+        let s = if signed { Signedness::Signed } else { Signedness::Unsigned };
+        let (lo, hi) = bw.range(s);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut data: Vec<i32> = (0..k * n).map(|_| rng.gen_range(lo..=hi)).collect();
+        let oracle = |data: &[i32]| {
+            PackedSliceMatrix::pack_from_fn(n, k, bw, sw, s, |c, e| data[e * n + c])
+        };
+        let t = Tensor::from_data(&[k, n], data.clone());
+        prop_assert_eq!(pack_gemm_cols(&t, bw, sw, s), oracle(&data), "[{}, {}]", k, n);
+        // Offenders: the first in column order is not the first in memory.
+        data[n - 1] = hi + 1;
+        data[(k - 1) * n] = lo - 1;
+        let t = Tensor::from_data(&[k, n], data.clone());
+        let got = pack_gemm_cols(&t, bw, sw, s);
+        prop_assert!(got.is_err(), "[{}, {}] accepted an out-of-range value", k, n);
+        prop_assert_eq!(got, oracle(&data), "[{}, {}] error", k, n);
     }
 }

@@ -176,15 +176,24 @@ pub fn pack_gemm_rows(
     PackedSliceMatrix::pack_rows(t.as_slice(), rows, len, bits, slice_width, signedness)
 }
 
+/// Side of the square tiles [`pack_gemm_cols`] transposes through: a
+/// 64 × 64 `i32` tile (16 KiB) of both source and destination stays in L1
+/// while it is read by rows and written by columns.
+pub const TRANSPOSE_BLOCK: usize = 64;
+
 /// Packs a `[k, n]` matrix's *columns* into slice planes: one packed vector
-/// per column, gathered stride-`n` without materializing a transpose. This
-/// is the activation-side entry point — an im2col matrix `[ic·kh·kw, oh·ow]`
-/// packs as `oh·ow` patch vectors, a GEMV input `[k, 1]` as a single vector.
+/// per column. The matrix is transposed to `[n, k]` in
+/// [`TRANSPOSE_BLOCK`]-square cache tiles, then packed by the word-at-a-time
+/// row packer ([`PackedSliceMatrix::pack_rows`]), so no element is gathered
+/// at stride `n` through the packer. This is the entry point for operands
+/// that arrive column-major — a GEMV input `[k, 1]`, an attention `Kᵀ` or
+/// `V` head, or an im2col matrix `[ic·kh·kw, oh·ow]` built outside the
+/// executor (which itself builds im2col patch-major and row-packs it).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::ValueOutOfRange`] on the first element that does
-/// not fit the declared `bits`/`signedness`.
+/// Returns [`CoreError::ValueOutOfRange`] on the first element, in column
+/// order, that does not fit the declared `bits`/`signedness`.
 ///
 /// # Panics
 ///
@@ -199,9 +208,19 @@ pub fn pack_gemm_cols(
     assert_eq!(shape.len(), 2, "column packing needs a [k, n] matrix");
     let (k, n) = (shape[0], shape[1]);
     let data = t.as_slice();
-    PackedSliceMatrix::pack_from_fn(n, k, bits, slice_width, signedness, |col, e| {
-        data[e * n + col]
-    })
+    let mut transposed = vec![0i32; k * n];
+    for c0 in (0..n).step_by(TRANSPOSE_BLOCK) {
+        let cols = c0..n.min(c0 + TRANSPOSE_BLOCK);
+        for e0 in (0..k).step_by(TRANSPOSE_BLOCK) {
+            for e in e0..k.min(e0 + TRANSPOSE_BLOCK) {
+                let src = &data[e * n + cols.start..e * n + cols.end];
+                for (c, &x) in cols.clone().zip(src) {
+                    transposed[c * k + e] = x;
+                }
+            }
+        }
+    }
+    PackedSliceMatrix::pack_rows(&transposed, n, k, bits, slice_width, signedness)
 }
 
 #[cfg(test)]
@@ -269,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_cols_gather_without_transpose() {
+    fn gemm_cols_pack_one_vector_per_column() {
         let t = Tensor::from_fn(&[3, 4], |i| (i[0] * 4 + i[1]) as i32 - 6);
         let p = pack_gemm_cols(&t, BitWidth::INT4, SliceWidth::BIT2, Signedness::Signed).unwrap();
         assert_eq!((p.num_vecs(), p.len()), (4, 3));

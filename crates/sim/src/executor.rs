@@ -11,13 +11,21 @@
 //!
 //! Execution runs on the packed bit-plane path
 //! ([`SystolicArray::gemm_packed`]): each layer's weights and im2col
-//! patches are decomposed once into [`bpvec_core::PackedSliceMatrix`]
-//! planes at that layer's own `(activation, weight)` bitwidths — so
-//! mixed-precision networks execute without repacking to a uniform width —
-//! and every output tile (and, for recurrent layers, every timestep)
-//! reuses the packed operands through the word-level slice kernels. This
-//! is what makes complete Table I networks (e.g. AlexNet at 224×224)
-//! executable bit-true in seconds; the integration tests in
+//! patches are decomposed once per layer per call into
+//! [`bpvec_core::PackedSliceMatrix`] planes at that layer's own
+//! `(activation, weight)` bitwidths — so mixed-precision networks execute
+//! without repacking to a uniform width — and every output tile (and, for
+//! recurrent layers, every timestep) reuses the packed operands through
+//! the word-level slice kernels. Convolutions build im2col patch-major
+//! (one row per output pixel, filled by contiguous slice copies) so the
+//! patches go through the word-at-a-time row packer
+//! ([`PackedSliceMatrix::pack_rows`]) with no column gather. Weights are
+//! re-packed on every call rather than cached: cached planes would stay
+//! resident next to the `i32` weights (31 MiB for AlexNet, where only one
+//! layer's planes, at most fc6's 18 MiB, are alive at a time today) for a
+//! packing cost the word-at-a-time packer has made small. This is what
+//! makes complete Table I networks (e.g. AlexNet at 224×224) executable
+//! bit-true in well under a second; the integration tests in
 //! `tests/bit_true_table1.rs` do exactly that against the reference
 //! pipeline.
 
@@ -307,9 +315,10 @@ fn av_head(p: &Tensor, v: &Tensor, h: usize, head_dim: usize, q_len: usize) -> (
 /// signed `bits` range — the per-tensor fixed-point calibration step.
 fn requant_shift_for(t: &Tensor, bits: BitWidth) -> u32 {
     let (_, hi) = bits.range(Signedness::Signed);
+    let hi = hi.unsigned_abs();
     let mut shift = 0u32;
-    let mut max = i64::from(t.max_abs());
-    while max > i64::from(hi) {
+    let mut max = t.max_abs();
+    while max > hi {
         max >>= 1;
         shift += 1;
     }
@@ -375,8 +384,8 @@ impl NetworkExecutor {
                 }
                 LayerKind::FullyConnected { in_features, .. } => {
                     assert_eq!(act.len(), in_features, "fc input length");
-                    // Weights packed once for the layer; the activation is a
-                    // single packed vector (the lone GEMM column).
+                    // Weights packed once per layer per call; the activation
+                    // is a single packed vector (the lone GEMM column).
                     let pw = pack_gemm_rows(
                         w,
                         layer.weight_bits,
@@ -701,30 +710,41 @@ impl NetworkExecutor {
         let (h, wdt) = (ish[1], ish[2]);
         let oh = (h + 2 * padding.0 - kh) / stride.0 + 1;
         let ow = (wdt + 2 * padding.1 - kw) / stride.1 + 1;
-        // im2col with zero padding.
-        let cols = Tensor::from_fn(&[in_channels * kh * kw, oh * ow], |idx| {
-            let (row, col) = (idx[0], idx[1]);
-            let c = row / (kh * kw);
-            let ky = (row / kw) % kh;
-            let kx = row % kw;
-            let oy = col / ow;
-            let ox = col % ow;
-            let iy = (oy * stride.0 + ky) as isize - padding.0 as isize;
-            let ix = (ox * stride.1 + kx) as isize - padding.1 as isize;
-            if iy < 0 || ix < 0 || iy >= h as isize || ix >= wdt as isize {
-                0
-            } else {
-                act[&[c, iy as usize, ix as usize]]
+        // im2col, patch-major: row `oy·ow + ox` holds that output pixel's
+        // receptive field in (c, ky, kx) order — the flattening of the OIHW
+        // weight rows — with zero padding. Each in-bounds kernel row is one
+        // contiguous copy of an activation row segment.
+        let k = in_channels * kh * kw;
+        let src = act.as_slice();
+        let mut patches = vec![0i32; oh * ow * k];
+        for (p, patch) in patches.chunks_exact_mut(k).enumerate() {
+            let (oy, ox) = (p / ow, p % ow);
+            // Kernel columns `kx0..kx1` land inside the input row.
+            let x0 = (ox * stride.1) as isize - padding.1 as isize;
+            let kx0 = (-x0).clamp(0, kw as isize) as usize;
+            let kx1 = (wdt as isize - x0).clamp(0, kw as isize) as usize;
+            for (c, channel) in patch.chunks_exact_mut(kh * kw).enumerate() {
+                for (ky, dst) in channel.chunks_exact_mut(kw).enumerate() {
+                    let iy = (oy * stride.0 + ky) as isize - padding.0 as isize;
+                    if iy < 0 || iy >= h as isize || kx0 >= kx1 {
+                        continue;
+                    }
+                    let row = (c * h + iy as usize) * wdt;
+                    let (lo, hi) = ((x0 + kx0 as isize) as usize, (x0 + kx1 as isize) as usize);
+                    dst[kx0..kx1].copy_from_slice(&src[row + lo..row + hi]);
+                }
             }
-        });
-        // Pack once per layer: OIHW weights row-pack with no reshape/clone
-        // (trailing dims flatten to the im2col row), the patch matrix
-        // column-packs at the layer's own activation width. Every output
+        }
+        // Pack once per layer per call: OIHW weights row-pack with no
+        // reshape/clone (trailing dims flatten to the im2col row), and the
+        // patches row-pack at the layer's own activation width. Every output
         // tile of the GEMM then reuses these planes.
         let oc = w.shape()[0];
         let pw = pack_gemm_rows(w, layer.weight_bits, self.slice_width(), Signedness::Signed)?;
-        let pcols = pack_gemm_cols(
-            &cols,
+        let pcols = PackedSliceMatrix::pack_rows(
+            &patches,
+            oh * ow,
+            k,
             layer.act_bits,
             self.slice_width(),
             Signedness::Signed,
@@ -750,8 +770,9 @@ impl NetworkExecutor {
     ) -> Result<(Tensor, u64, u64, u32, TileTally), CoreError> {
         assert_eq!(act.shape(), &[seq_len, input_size], "recurrent input");
         let shift = recurrent_shift(layer, input_size, hidden_size);
-        // The gate weights are packed once and reused across every timestep
-        // of the sequence — only the (small) [x; h] vector repacks per step.
+        // The gate weights are packed once per call and reused across every
+        // timestep of the sequence — only the (small) [x; h] vector repacks
+        // per step.
         let pw = pack_gemm_rows(w, layer.weight_bits, self.slice_width(), Signedness::Signed)?;
         let mut h = Tensor::zeros(&[hidden_size]);
         let mut c = Tensor::zeros(&[hidden_size]);
@@ -1126,5 +1147,42 @@ mod tests {
         let trace = ex.execute(&layers, &x, &ws).unwrap();
         assert_eq!(trace.output, ex.execute_reference(&layers, &x, &ws));
         assert_eq!(trace.output.shape(), &[5, 5, 5]);
+    }
+
+    /// Every other conv test is square in kernel, stride, padding and
+    /// input; this one makes each of them differ between the two axes, so
+    /// an index mix-up in the patch-major im2col cannot cancel out.
+    #[test]
+    fn non_square_conv_matches_reference() {
+        let layers = vec![Layer::new(
+            "c",
+            LayerKind::Conv2d {
+                in_channels: 3,
+                out_channels: 6,
+                kernel: (3, 5),
+                stride: (2, 1),
+                padding: (1, 2),
+                input_hw: (9, 7),
+            },
+        )];
+        let ws = WeightStore::synthesize(&layers, 21);
+        let x = Tensor::from_fn(&[3, 9, 7], |idx| {
+            (mix((idx[0] * 10_000 + idx[1] * 100 + idx[2]) as u64) % 200) as i32 - 100
+        });
+        let ex = executor();
+        let trace = ex.execute(&layers, &x, &ws).unwrap();
+        assert_eq!(trace.output, ex.execute_reference(&layers, &x, &ws));
+        // oh = (9 + 2 - 3) / 2 + 1, ow = (7 + 4 - 5) / 1 + 1.
+        assert_eq!(trace.output.shape(), &[6, 5, 7]);
+        assert!(trace.output.as_slice().iter().any(|&v| v != 0));
+    }
+
+    #[test]
+    fn requant_shift_covers_i32_min() {
+        let t = Tensor::from_data(&[2], vec![3, i32::MIN]);
+        // 2^31 >> 25 = 64 is the first value inside INT8's 127.
+        assert_eq!(requant_shift_for(&t, BitWidth::INT8), 25);
+        let t = Tensor::from_data(&[1], vec![i32::MAX]);
+        assert_eq!(requant_shift_for(&t, BitWidth::INT8), 24);
     }
 }

@@ -12,7 +12,7 @@
 //!   one. Exact, slow, kept as the ground truth the fast path is pinned to.
 //! * [`SystolicArray::gemm_packed`] — the execution path: operands arrive
 //!   pre-decomposed as [`PackedSliceMatrix`] bit planes (packed once per
-//!   layer by the caller), and each output tile streams whole planes
+//!   layer per call by the caller), and each output tile streams whole planes
 //!   through the word-level popcount/SWAR kernels. Identical outputs,
 //!   identical cycle accounting, orders of magnitude faster — fast enough
 //!   to run full Table I networks bit-true.
@@ -201,11 +201,10 @@ impl SystolicArray {
     ///
     /// `a` holds the `m` rows of `A` (e.g. output channels' weight vectors)
     /// and `b` the `n` columns of `B` (e.g. im2col patches), both
-    /// decomposed once by the caller — via
-    /// [`PackedSliceMatrix::pack_rows`]/[`pack_from_fn`](PackedSliceMatrix::pack_from_fn)
+    /// decomposed once by the caller — via [`PackedSliceMatrix::pack_rows`]
     /// or `bpvec-dnn`'s `pack_gemm_rows`/`pack_gemm_cols` — and reused
-    /// across every output tile here (and across calls: weights stay packed
-    /// for a whole layer, recurrent layers for the whole sequence).
+    /// across every output tile here (and, for recurrent layers, across
+    /// every timestep of the sequence).
     ///
     /// The array mapping and cycle accounting are identical to
     /// [`SystolicArray::gemm`]: rows of `A` to CVU rows, columns of `B` to
